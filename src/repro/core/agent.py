@@ -391,7 +391,7 @@ class StegAgent(ABC):
         iterations = 0
         reads = 0
         writes = 0
-        steps: list[ResealStep | CycleStep] = []
+        reseals: list[tuple[int, bytes]] = []  # (block, key) per dummy update
 
         while True:
             iterations += 1
@@ -399,7 +399,6 @@ class StegAgent(ABC):
 
             if b2 == b1:
                 # Update in place: read-modify-write at the same location.
-                final_iv = self.volume.fresh_iv()
                 target = b1
                 reads += 1
                 writes += 1
@@ -408,7 +407,6 @@ class StegAgent(ABC):
 
             if self.is_dummy_block(b2):
                 # Swap: the data moves to B2, B1 becomes a dummy block.
-                final_iv = self.volume.fresh_iv()
                 target = b2
                 reads += 1
                 writes += 1
@@ -425,10 +423,18 @@ class StegAgent(ABC):
                 break
 
             # B2 is another data block: plan it a dummy update and try again.
-            steps.append(ResealStep(b2, self.key_for_block(b2), self.volume.fresh_iv(), stream))
+            reseals.append((b2, self.key_for_block(b2)))
             reads += 1
             writes += 1
 
+        # The IV stream is independent of every draw above, so one draw
+        # after the loop yields the IVs the loop would have drawn in turn:
+        # one per dummy update, then the final one.
+        *reseal_ivs, final_iv = self.volume.fresh_ivs(iterations)
+        steps: list[ResealStep | CycleStep] = [
+            ResealStep(index, key, iv, stream)
+            for (index, key), iv in zip(reseals, reseal_ivs, strict=True)
+        ]
         [sealed] = self.volume.seal_payloads(handle.content_key, [payload], [final_iv])
         steps.append(CycleStep(b1, target, sealed, stream))
         return IoPlan(steps, label="update_block"), result

@@ -39,19 +39,22 @@ Step vocabulary
     same block cannot change the bytes that read decrypts to.
     ``batched=True`` lets a run of reseals execute as batched reads
     followed by batched writes (the ``dummy_update_batch`` schedule);
-    the default executes strict read/write pairs in step order.
+    the default charges strict read/write pairs in step order.
 
 Fusion invariants
 -----------------
 ``fuse`` groups *adjacent* same-kind steps into :class:`FusedRun`\\ s
 and never reorders steps across runs, so the per-plan (per-session)
-step order is always preserved.  Two writes to the same index are never
-merged into one run — both device events survive, in order — and a
-cycle run whose indices collide is executed by the device as a genuine
-per-cycle loop (see ``read_write_blocks``), so hazards cannot reorder.
-Only a ``batched=True`` reseal run reorders *locally* (reads first,
-then writes), which is byte-safe because reseals are
-plaintext-idempotent, even under duplicate draws.
+step order is always preserved.  Two writes to one index never share a
+run, and a reseal run holds each block under one key only.  Each run
+is charged by batched device calls, which apply repeated write targets
+in order (last writer wins).  A reseal run reads its blocks in one
+call (an uncharged ``peek_blocks`` when strict), reseals them per key
+with ``decrypt_many``/``encrypt_many``, and charges strict read/write
+pairs with one ``read_write_blocks``.  This equals the step-by-step
+loop even for a block drawn twice: a reseal under one key preserves the
+plaintext, so every reseal of the block starts from its pre-run
+plaintext, and only the last one's bytes remain.
 
 :class:`PlanJournal` is the crash-consistency seam: it records each
 plan's step sequence *before* any of its I/O executes and is told via
@@ -67,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, Union
 
-from repro.storage.block import BLOCK_IV_SIZE, StoredBlock
+from repro.storage.block import BLOCK_IV_SIZE
 from repro.storage.device import BlockDevice
 
 #: Builds (or looks up) the field cipher for a key; the volume's
@@ -196,29 +199,29 @@ def fuse(plans: Sequence[IoPlan]) -> list[FusedRun]:
     Iterates plans in order and steps in plan order, so the relative
     order of any one plan's steps — and of any two steps from different
     plans — is preserved exactly; fusion never reorders, it only widens
-    device calls.  A write to an index already written inside the
-    current run starts a new run, so distinct writes to one block stay
-    distinct device events in submission order.
+    device calls.  A second write to one index starts a new run, so
+    both stay distinct device events, and so does a reseal of a block
+    the run already reseals under another key.
     """
     runs: list[FusedRun] = []
     current: FusedRun | None = None
-    written: set[int] = set()
+    claimed: dict[int, object] = {}  # index -> key of the run's writes and reseals
     for source, plan in enumerate(plans):
         for step in plan.steps:
             kind = _kind_of(step)
-            splits = (
-                current is None
-                or current.kind != kind
-                or (kind == KIND_WRITE and step.index in written)
-            )
-            if splits:
+            clash = False
+            if isinstance(step, (WriteStep, ResealStep)):
+                # A write's fresh object equals no claim: a second write splits.
+                key = step.key if isinstance(step, ResealStep) else object()
+                clash = claimed.get(step.index, key) != key
+            if current is None or current.kind != kind or clash:
                 current = FusedRun(kind)
                 runs.append(current)
-                written.clear()
+                claimed.clear()
             current.steps.append(step)
             current.sources.append(source)
-            if kind == KIND_WRITE:
-                written.add(step.index)
+            if isinstance(step, (WriteStep, ResealStep)):
+                claimed[step.index] = key
     return runs
 
 
@@ -246,35 +249,37 @@ def _execute_read_run(
             out.setdefault(run.sources[position], []).append(plaintext)
 
 
-def _execute_reseal_batch_run(
-    run: FusedRun, device: BlockDevice, cipher_for: CipherFor
-) -> None:
-    # The dummy_update_batch schedule: batched reads, per-key vectorized
-    # crypto, batched writes.  Duplicate draws are safe: resealing
-    # preserves the plaintext, so writing both reseals in draw order
-    # leaves the same bytes as resealing the reseal.
+def _execute_reseal_run(run: FusedRun, device: BlockDevice, cipher_for: CipherFor) -> None:
     steps = run.steps
     indices = [step.index for step in steps]
     streams = [step.stream for step in steps]
-    raws = device.read_blocks(indices, streams)
-    positions_by_key: dict[bytes, list[int]] = {}
-    for position, step in enumerate(steps):
-        positions_by_key.setdefault(step.key, []).append(position)
-    # Every position belongs to exactly one key group, so each empty
-    # placeholder is overwritten before the batched write.
-    datas: list[bytes] = [b""] * len(steps)
-    for key, positions in positions_by_key.items():
+    # Every reseal of a block starts from its pre-run plaintext and only
+    # the last one lands (module docstring), so each block is sealed once,
+    # under its last IV, and that block stands for each of its draws.
+    last = {step.index: step for step in steps}
+    if run.kind == KIND_RESEAL:
+        # Strict reads are charged below, interleaved with the writes.
+        raw_of = dict(zip(last, device.peek_blocks(list(last)), strict=True))
+    else:
+        raw_of = dict(zip(indices, device.read_blocks(indices, streams), strict=True))
+    by_key: dict[bytes, list[int]] = {}
+    for index, step in last.items():
+        by_key.setdefault(step.key, []).append(index)
+    sealed: dict[int, bytes] = {}
+    for key, group in by_key.items():
         cipher = cipher_for(key)
         plaintexts = cipher.decrypt_many(
-            [raws[p][:BLOCK_IV_SIZE] for p in positions],
-            [raws[p][BLOCK_IV_SIZE:] for p in positions],
+            [raw_of[i][:BLOCK_IV_SIZE] for i in group], [raw_of[i][BLOCK_IV_SIZE:] for i in group]
         )
-        ciphertexts = cipher.encrypt_many(
-            [steps[p].new_iv for p in positions], plaintexts
-        )
-        for p, ciphertext in zip(positions, ciphertexts, strict=True):
-            datas[p] = steps[p].new_iv + ciphertext
-    device.write_blocks(indices, datas, streams)
+        new_ivs = [last[i].new_iv for i in group]
+        ciphertexts = cipher.encrypt_many(new_ivs, plaintexts)
+        for index, new_iv, ciphertext in zip(group, new_ivs, ciphertexts, strict=True):
+            sealed[index] = new_iv + ciphertext
+    datas = [sealed[index] for index in indices]
+    if run.kind == KIND_RESEAL:
+        device.read_write_blocks(indices, datas, streams)
+    else:
+        device.write_blocks(indices, datas, streams)
 
 
 def execute_runs(
@@ -282,10 +287,9 @@ def execute_runs(
 ) -> dict[int, list[bytes]]:
     """Execute fused runs in order; return kept-read payloads per source plan.
 
-    Each run becomes one batched device call (strict reseal runs
-    execute their read/write pairs in step order), so the device sees
-    exactly the planned requests in the planned order.  Errors
-    propagate to the caller mid-run, matching the partial-progress
+    Each run is charged through the batched device calls, so the device
+    sees exactly the planned requests in the planned order.  Errors
+    propagate to the caller mid-plan, matching the partial-progress
     semantics of the loops the plans replaced.
     """
     out: dict[int, list[bytes]] = {}
@@ -305,15 +309,8 @@ def execute_runs(
                 [step.stream for step in run.steps],
                 write_indices=[step.write_index for step in run.steps],
             )
-        elif run.kind == KIND_RESEAL:
-            for step in run.steps:
-                raw = device.read_block(step.index, step.stream)
-                resealed = StoredBlock.from_raw(raw).reseal_with_new_iv(
-                    cipher_for(step.key), step.new_iv
-                )
-                device.write_block(step.index, resealed.raw, step.stream)
-        elif run.kind == KIND_RESEAL_BATCH:
-            _execute_reseal_batch_run(run, device, cipher_for)
+        elif run.kind in (KIND_RESEAL, KIND_RESEAL_BATCH):
+            _execute_reseal_run(run, device, cipher_for)
         else:  # pragma: no cover - fuse() only emits the kinds above
             raise ValueError(f"unknown fused-run kind {run.kind!r}")
     return out

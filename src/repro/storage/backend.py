@@ -37,6 +37,9 @@ from repro.errors import BackendClosedError, InjectedCrashError, VolumeFileError
 if TYPE_CHECKING:
     from repro.storage.disk import StorageGeometry
 
+#: ``fill_random`` formats the volume this many bytes at a time.
+FILL_CHUNK_BYTES = 1 << 20
+
 
 @runtime_checkable
 class BlockBackend(Protocol):
@@ -137,19 +140,23 @@ class _ArrayBackend:
         rows = np.frombuffer(b"".join(datas), dtype=np.uint8).reshape(
             indices.size, self._block_size
         )
-        if np.unique(indices).size == indices.size:
+        targets, last = np.unique(indices[::-1], return_index=True)
+        if targets.size == indices.size:
             view[indices] = rows
         else:
-            # Duplicate targets: apply in order so the last writer wins,
-            # exactly as the single-block loop would.
-            for row, index in enumerate(indices.tolist()):
-                view[index] = rows[row]
+            # Duplicate targets: write each target's last row only, so
+            # the last writer wins exactly as the single-block loop would.
+            view[targets] = rows[indices.size - 1 - last]
 
     def fill_random(self, seed: int = 0) -> None:
         # repro-lint: ignore[ENT001] -- seeded, deterministic volume formatting; not a crypto path
         rng = np.random.default_rng(seed)
         flat = self._blocks().reshape(-1)
-        flat[:] = rng.integers(0, 256, size=flat.size, dtype=np.uint8)
+        # Chunks of a multiple of 4 bytes draw exactly the one-call
+        # stream, without a temporary the size of the volume.
+        for start in range(0, flat.size, FILL_CHUNK_BYTES):
+            chunk = flat[start : start + FILL_CHUNK_BYTES]
+            chunk[:] = rng.integers(0, 256, size=chunk.size, dtype=np.uint8)
 
     def raw_bytes(self) -> bytes:
         return self._blocks().tobytes()

@@ -66,6 +66,9 @@ class BlockDevice(Protocol):
     def peek_block(self, index: int) -> bytes:
         """Read block bytes without charging I/O (attacker/bookkeeping view)."""
 
+    def peek_blocks(self, indices: Iterable[int]) -> list[bytes]:
+        """Read many blocks' bytes without charging I/O, in one backend call."""
+
 
 class RawDevice:
     """Adapter presenting a whole :class:`RawStorage` as a :class:`BlockDevice`."""
@@ -111,6 +114,9 @@ class RawDevice:
 
     def peek_block(self, index: int) -> bytes:
         return self.storage.peek_block(index)
+
+    def peek_blocks(self, indices: Iterable[int]) -> list[bytes]:
+        return self.storage.peek_blocks(indices)
 
 
 class Partition:
@@ -189,6 +195,9 @@ class Partition:
 
     def peek_block(self, index: int) -> bytes:
         return self.storage.peek_block(self._translate(index))
+
+    def peek_blocks(self, indices: Iterable[int]) -> list[bytes]:
+        return self.storage.peek_blocks(self._translate_many(indices))
 
 
 def split_volume(storage: RawStorage, first_partition_blocks: int) -> tuple[Partition, Partition]:

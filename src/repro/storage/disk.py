@@ -334,6 +334,11 @@ class RawStorage:
         When ``datas`` is None every block is rewritten with its current
         content — a pure charging pass, which is what the oblivious
         store's non-final merge-sort passes need.
+
+        Every batch takes the single vectorized path, even when cycles
+        share blocks: the accounting depends only on the access order,
+        the reads return nothing, and the backend applies repeated write
+        targets in order, so the last writer wins exactly as in the loop.
         """
         self._check_open()
         read_idx = _index_array(indices)
@@ -353,16 +358,6 @@ class RawStorage:
         self._check_batch(write_idx, datas)
         if read_idx.size == 0:
             return
-        if datas is not None and self._cycles_collide(read_idx, write_idx):
-            # A later cycle touching an earlier cycle's block must
-            # observe the earlier write; only the genuine loop
-            # preserves that.
-            streams = [stream] * read_idx.size if isinstance(stream, str) else list(stream)
-            cycles = zip(read_idx.tolist(), write_idx.tolist(), datas, streams, strict=True)
-            for r, w, data, label in cycles:
-                self.read_block(r, label)
-                self.write_block(w, data, label)
-            return
         # The head serves each cycle as two back-to-back accesses: read
         # the source, write the target.
         accesses = np.empty(read_idx.size * 2, dtype=np.int64)
@@ -381,22 +376,6 @@ class RawStorage:
         if datas is not None:
             self.backend.write_many(write_idx, datas)
 
-    @staticmethod
-    def _cycles_collide(read_idx: np.ndarray, write_idx: np.ndarray) -> bool:
-        """Whether any block participates in more than one read/write cycle.
-
-        A block shared *within* one cycle (read == write, the in-place
-        shape) is fine; a block appearing in two different cycles is a
-        read-after-write or write-after-write hazard that the batched
-        schedule cannot honour, so the caller falls back to the loop.
-        """
-        if read_idx is write_idx:
-            return np.unique(read_idx).size != read_idx.size
-        per_cycle = np.where(read_idx == write_idx, read_idx, -1)
-        touched = np.concatenate((read_idx[per_cycle < 0], write_idx[per_cycle < 0],
-                                  per_cycle[per_cycle >= 0]))
-        return np.unique(touched).size != touched.size
-
     def peek_block(self, index: int) -> bytes:
         """Read block bytes *without* charging latency or recording a request.
 
@@ -407,6 +386,17 @@ class RawStorage:
         self._check_open()
         self._check_index(index)
         return self.backend.read(index)
+
+    def peek_blocks(self, indices: Iterable[int]) -> list[bytes]:
+        """Batched :meth:`peek_block`: many blocks' bytes in one uncharged backend call.
+
+        The reseal executor fetches a run's blocks this way and then
+        charges the run's reads and writes in one accounting call.
+        """
+        self._check_open()
+        indices = _index_array(indices)
+        self._check_batch(indices, None)
+        return self.backend.read_many(indices) if indices.size else []
 
     def raw_bytes(self) -> bytes:
         """A copy of the whole volume (used by snapshots)."""

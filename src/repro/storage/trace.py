@@ -7,9 +7,12 @@ the activity log or by trapping requests directly at runtime".  An
 (operation, block index, stream, timestamp) events with no plaintext and
 no knowledge of the agent's internal state.
 
-The log is stored **columnar**: growable parallel numpy arrays for the
+The log is stored **columnar**: parallel numpy arrays for the
 operation code, block index and timestamp, plus an interned stream-id
-table.  Every query the attackers and figures run (`indices`,
+table.  Appends fill fixed-size chunks, so growth never copies what
+is already recorded and leaves at most one chunk of slack; the first
+query after an append merges the chunks into exact-size columns.
+Every query the attackers and figures run (`indices`,
 `index_histogram`, `between`, `slice_by_stream`, ...) touches arrays,
 not per-event Python objects, so million-event traces analyse in
 milliseconds.  :class:`IoEvent` objects are materialised lazily — the
@@ -27,7 +30,9 @@ Invariants (see EXPERIMENTS.md "Observability contract"):
 * appends are serialized behind an internal lock and publish the new
   size *after* the rows are written, so an observer capturing from
   another thread (``TraceObserver`` under the concurrent engine) sees
-  a consistent prefix of the trace — never a torn row.
+  a consistent prefix of the trace — never a torn row.  Readers take
+  no lock unless they find unmerged chunks, and merged columns are
+  never written again.
 """
 
 from __future__ import annotations
@@ -48,7 +53,53 @@ OP_WRITE = 1
 _OP_CODES = {"read": OP_READ, "write": OP_WRITE}
 _OP_NAMES = ("read", "write")
 
+#: Capacity of the first chunk; later chunks match the rows recorded so
+#: far (doubling the total) until they reach ``_CHUNK_EVENTS``.
 _INITIAL_CAPACITY = 1024
+#: Largest chunk, in events (13 bytes each while the columns are narrow).
+_CHUNK_EVENTS = 1 << 16
+
+#: Column types: (op code, block index, time, stream id).  The index and
+#: stream columns start at the narrowest type of their ladder and step up
+#: for good the first time a value does not fit: a volume of up to 32768
+#: blocks records int16 indices, a hand-built trace may hold any int64
+#: index, and a trace may intern more than 65536 stream names.
+_INDEX, _STREAM = 1, 3
+_LADDERS = {_INDEX: (np.int16, np.int32, np.int64), _STREAM: (np.uint16, np.int32)}
+_NARROW = (np.uint8, np.int16, np.float64, np.uint16)
+_RANGES = {
+    dtype: (int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    for ladder in _LADDERS.values()
+    for dtype in ladder
+}
+
+#: One chunk or the merged base: (ops, indices, times, stream ids).
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+#: Below this many values, Python's min/max/compare beat numpy's call overhead.
+_SMALL = 16
+
+
+def _bounds(column: np.ndarray) -> tuple[int, int]:
+    """Smallest and largest value of a non-empty integer column."""
+    if column.size <= _SMALL:
+        values = column.tolist()
+        return min(values), max(values)
+    return int(column.min()), int(column.max())
+
+
+def _ascending(column: np.ndarray) -> bool:
+    """Whether a time column never runs backwards (NaN counts as backwards)."""
+    if column.size <= _SMALL:
+        values = column.tolist()
+        return all(a <= b for a, b in zip(values, values[1:], strict=False))
+    return bool(np.all(column[1:] >= column[:-1]))
+
+
+def _empty_columns(capacity: int, dtypes: Sequence[type] = _NARROW) -> _Columns:
+    ops, indices, times, streams = (np.empty(capacity, dtype=dtype) for dtype in dtypes)
+    return ops, indices, times, streams
 
 
 @dataclass(frozen=True)
@@ -61,6 +112,16 @@ class IoEvent:
     stream: str = "default"
 
 
+def _event_at(columns: _Columns, names: list[str], i: int) -> IoEvent:
+    ops, indices, times, streams = columns
+    return IoEvent(
+        op=_OP_NAMES[ops[i]],
+        index=int(indices[i]),
+        time_ms=float(times[i]),
+        stream=names[streams[i]],
+    )
+
+
 class _EventsView(Sequence):
     """Lazy, read-only sequence of :class:`IoEvent` over a trace's columns."""
 
@@ -71,20 +132,21 @@ class _EventsView(Sequence):
         return len(self._trace)
 
     def __getitem__(self, item):
+        columns = self._trace._columns()
+        names = self._trace._stream_names
+        size = len(columns[0])
         if isinstance(item, slice):
-            return [
-                self._trace._event_at(i)
-                for i in range(*item.indices(len(self._trace)))
-            ]
-        size = len(self._trace)
+            return [_event_at(columns, names, i) for i in range(*item.indices(size))]
         index = item + size if item < 0 else item
         if not 0 <= index < size:
             raise IndexError(f"event {item} out of range for trace of {size} events")
-        return self._trace._event_at(index)
+        return _event_at(columns, names, index)
 
     def __iter__(self) -> Iterator[IoEvent]:
-        for i in range(len(self._trace)):
-            yield self._trace._event_at(i)
+        columns = self._trace._columns()
+        names = self._trace._stream_names
+        for i in range(len(columns[0])):
+            yield _event_at(columns, names, i)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (_EventsView, list, tuple)):
@@ -96,60 +158,125 @@ class IoTrace:
     """An append-only columnar log of I/O events, with vectorized queries."""
 
     def __init__(self, events: Iterable[IoEvent] | None = None):
-        self._allocate_columns(0)
+        # Rows [0, len(base)) sit merged in ``_base``, which is never
+        # written again; later rows fill ``_chunks`` in order, every
+        # chunk full except the last, which starts at row ``_tail_start``.
+        self._base = _empty_columns(0)
+        self._chunks: list[_Columns] = []
+        self._tail_start = 0
+        self._dtypes = list(_NARROW)  # of new chunks
         self._size = 0
+        self._last_time = 0.0
         self._stream_ids: dict[str, int] = {}
         self._stream_names: list[str] = []
         self._time_sorted = True
-        # Serializes mutators.  Readers deliberately take no lock: they
-        # snapshot ``_size`` first and then slice the columns, and every
-        # append writes its rows before publishing the grown size, so a
-        # concurrent reader sees a consistent (possibly slightly stale)
-        # prefix.
+        # Serializes mutators and merges.  Readers snapshot ``_size``
+        # first and then slice merged columns, and every append writes
+        # its rows before publishing the grown size, so a concurrent
+        # reader sees a consistent (possibly slightly stale) prefix.
         self._append_lock = threading.Lock()
         if events is not None:
             self.extend(events)
 
-    def _allocate_columns(self, capacity: int) -> None:
-        self._ops = np.empty(capacity, dtype=np.uint8)
-        self._indices = np.empty(capacity, dtype=np.int64)
-        self._times = np.empty(capacity, dtype=np.float64)
-        self._streams = np.empty(capacity, dtype=np.int32)
-
     # -- appending ---------------------------------------------------------------
 
     def _intern(self, stream: str) -> int:
+        """The stream's id, assigned on first sight (lock held, no chunk reserved)."""
         code = self._stream_ids.get(stream)
         if code is None:
             code = len(self._stream_names)
+            self._fit(_STREAM, code, code)
             self._stream_ids[stream] = code
             self._stream_names.append(stream)
         return code
 
-    def _ensure_capacity(self, needed: int) -> None:
-        capacity = len(self._ops)
-        if needed <= capacity:
+    def _fit(self, column: int, low: int, high: int) -> None:
+        """Step ``column`` up its ladder until its type holds ``low`` and ``high``.
+
+        Called with the lock held and no chunk reserved; merging first
+        means every later chunk is allocated with the wider type.
+        """
+        bottom, top = _RANGES[self._dtypes[column]]
+        if bottom <= low and high <= top:
             return
-        capacity = max(capacity, _INITIAL_CAPACITY)
-        while capacity < needed:
-            capacity *= 2
-        for name in ("_ops", "_indices", "_times", "_streams"):
-            old = getattr(self, name)
-            grown = np.empty(capacity, dtype=old.dtype)
-            grown[: self._size] = old[: self._size]
-            setattr(self, name, grown)
+        ladder = _LADDERS[column]
+        wide = next(
+            (t for t in ladder if _RANGES[t][0] <= low and high <= _RANGES[t][1]), ladder[-1]
+        )
+        base = list(self._merge())
+        base[column] = base[column].astype(wide)
+        self._base = (base[0], base[1], base[2], base[3])
+        self._dtypes[column] = wide
+
+    def _merge(self) -> _Columns:
+        """Fold the chunks into exact-size merged columns (lock held)."""
+        if self._chunks:
+            fill = self._size - self._tail_start
+            last = tuple(column[:fill] for column in self._chunks[-1])
+            parts = [self._base, *self._chunks[:-1], last]
+            ops, indices, times, streams = (
+                np.concatenate(columns) for columns in zip(*parts, strict=True)
+            )
+            self._base = (ops, indices, times, streams)
+            self._chunks = []
+        return self._base
+
+    def _reserve(self, row: int) -> tuple[_Columns, int, int]:
+        """The chunk holding ``row``, the row's offset in it and the room left there.
+
+        Called with the lock held, for the next unwritten row.
+        """
+        if self._chunks:
+            chunk = self._chunks[-1]
+            offset = row - self._tail_start
+            if offset < len(chunk[0]):
+                return chunk, offset, len(chunk[0]) - offset
+        capacity = min(_CHUNK_EVENTS, max(_INITIAL_CAPACITY, row))
+        chunk = _empty_columns(capacity, self._dtypes)
+        self._chunks.append(chunk)
+        self._tail_start = row
+        return chunk, 0, capacity
+
+    def _append(self, count: int, values: tuple) -> None:
+        """Write ``count`` rows, then publish them (lock held).
+
+        ``values`` holds, per column, an array of ``count`` entries or
+        one scalar shared by every row.
+        """
+        n = self._size
+        done = 0
+        while done < count:
+            (ops, indices, times, streams), offset, room = self._reserve(n + done)
+            take = min(room, count - done)
+            part = values
+            if take != count:
+                part = tuple(
+                    value[done : done + take] if isinstance(value, np.ndarray) else value
+                    for value in values
+                )
+            end = offset + take
+            ops[offset:end], indices[offset:end], times[offset:end], streams[offset:end] = part
+            done += take
+        self._size = n + count
+
+    def _note_times(self, first: float, last: float, sorted_within: bool) -> None:
+        """Track time order for ``between`` ahead of an append (lock held)."""
+        if self._time_sorted and (not sorted_within or (self._size and first < self._last_time)):
+            self._time_sorted = False
+        self._last_time = last
 
     def record(self, op: Operation, index: int, time_ms: float, stream: str = "default") -> None:
-        """Append one event (amortized O(1), thread-safe)."""
+        """Append one event (O(1), thread-safe)."""
         with self._append_lock:
+            code = self._intern(stream)
+            self._fit(_INDEX, index, index)
             n = self._size
-            self._ensure_capacity(n + 1)
-            self._ops[n] = _OP_CODES[op]
-            self._indices[n] = index
-            self._times[n] = time_ms
-            self._streams[n] = self._intern(stream)
-            if self._time_sorted and n and time_ms < self._times[n - 1]:
-                self._time_sorted = False
+            (ops, indices, times, streams), offset, _ = self._reserve(n)
+            ops[offset] = _OP_CODES[op]
+            indices[offset] = index
+            times[offset] = time_ms
+            streams[offset] = code
+            self._note_times(time_ms, time_ms, True)
             self._size = n + 1
 
     def record_many(
@@ -191,49 +318,33 @@ class IoTrace:
             raise ValueError(f"{count} indices but {len(stream)} streams")
         if count == 0:
             return
+        if not isinstance(stream, str) and len(set(stream)) == 1:
+            stream = stream[0]  # one shared name interns once
         with self._append_lock:
-            n = self._size
-            self._ensure_capacity(n + count)
-            self._ops[n : n + count] = op_column
-            self._indices[n : n + count] = index_column
-            self._times[n : n + count] = time_column
             if isinstance(stream, str):
-                self._streams[n : n + count] = self._intern(stream)
+                stream_column: np.ndarray | int = self._intern(stream)
             else:
-                self._streams[n : n + count] = np.fromiter(
+                stream_column = np.fromiter(
                     (self._intern(name) for name in stream), dtype=np.int32, count=count
                 )
-            if self._time_sorted and (
-                (n and time_column[0] < self._times[n - 1])
-                or (count > 1 and np.any(np.diff(time_column) < 0))
-            ):
-                self._time_sorted = False
-            self._size = n + count
+            self._fit(_INDEX, *_bounds(index_column))
+            self._note_times(time_column[0], time_column[-1], _ascending(time_column))
+            self._append(count, (op_column, index_column, time_column, stream_column))
 
     def extend(self, other: "IoTrace" | Iterable[IoEvent]) -> None:
         """Append events from another trace (column-wise when possible)."""
         if isinstance(other, IoTrace):
-            count = other._size
-            if count == 0:
+            ops, indices, times, streams = other._columns()
+            if ops.size == 0:
                 return
+            names = list(other._stream_names)
             with self._append_lock:
-                n = self._size
-                self._ensure_capacity(n + count)
-                self._ops[n : n + count] = other._ops[:count]
-                self._indices[n : n + count] = other._indices[:count]
-                self._times[n : n + count] = other._times[:count]
-                if other._stream_names:
-                    remap = np.fromiter(
-                        (self._intern(name) for name in other._stream_names),
-                        dtype=np.int32,
-                        count=len(other._stream_names),
-                    )
-                    self._streams[n : n + count] = remap[other._streams[:count]]
-                if self._time_sorted and (
-                    not other._time_sorted or (n and other._times[0] < self._times[n - 1])
-                ):
-                    self._time_sorted = False
-                self._size = n + count
+                remap = np.fromiter(
+                    (self._intern(name) for name in names), dtype=np.int32, count=len(names)
+                )
+                self._fit(_INDEX, *_bounds(indices))
+                self._note_times(times[0], times[-1], other._time_sorted)
+                self._append(ops.size, (ops, indices, times, remap[streams]))
             return
         for event in other:
             self.record(event.op, event.index, event.time_ms, event.stream)
@@ -246,19 +357,28 @@ class IoTrace:
         instead of silently changing under the caller.
         """
         with self._append_lock:
-            self._allocate_columns(0)
+            self._base = _empty_columns(0, self._dtypes)
+            self._chunks = []
             self._size = 0
             self._time_sorted = True
 
-    # -- event (row) views --------------------------------------------------------
+    # -- merged columns ----------------------------------------------------------
 
-    def _event_at(self, i: int) -> IoEvent:
-        return IoEvent(
-            op=_OP_NAMES[self._ops[i]],
-            index=int(self._indices[i]),
-            time_ms=float(self._times[i]),
-            stream=self._stream_names[self._streams[i]],
-        )
+    def _columns(self) -> _Columns:
+        """The columns of every recorded row, merging pending chunks first.
+
+        Lock-free when nothing is pending: the size is read before the
+        columns, and merged columns hold at least that many rows.
+        """
+        n = self._size
+        base = self._base
+        if len(base[0]) < n:
+            with self._append_lock:
+                base = self._merge()
+        ops, indices, times, streams = base
+        return ops[:n], indices[:n], times[:n], streams[:n]
+
+    # -- event (row) views --------------------------------------------------------
 
     @property
     def events(self) -> _EventsView:
@@ -273,107 +393,87 @@ class IoTrace:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, IoTrace):
+            mine, theirs = self._columns(), other._columns()
             return (
-                self._size == other._size
-                and np.array_equal(self._ops[: self._size], other._ops[: other._size])
-                and np.array_equal(self._indices[: self._size], other._indices[: other._size])
-                and np.array_equal(self._times[: self._size], other._times[: other._size])
-                and [self._stream_names[c] for c in self._streams[: self._size]]
-                == [other._stream_names[c] for c in other._streams[: other._size]]
+                all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3], strict=True))
+                and [self._stream_names[c] for c in mine[3]]
+                == [other._stream_names[c] for c in theirs[3]]
             )
         return NotImplemented
 
     # -- columnar accessors (attacker analytics consume these directly) -----------
 
-    def _op_mask(self, op: Operation | None) -> np.ndarray | slice:
-        if op is None:
-            return slice(None)
-        # Snapshot the size before touching the column: appends publish
-        # the grown size last, so the column read afterwards is
-        # guaranteed to hold at least that many committed rows.
-        n = self._size
-        return self._ops[:n] == _OP_CODES[op]
-
     def op_column(self) -> np.ndarray:
         """Operation codes (``OP_READ``/``OP_WRITE``) in arrival order."""
-        return self._readonly("_ops")
+        return _readonly(self._columns()[0])
 
     def index_column(self, op: Operation | None = None) -> np.ndarray:
-        """Block indices in arrival order, optionally filtered by operation."""
+        """Block indices (int64) in arrival order, optionally filtered by operation.
+
+        Unfiltered, the column is read-only: a view, or a widened copy
+        while the trace stores narrower indices.
+        """
+        ops, indices, _, _ = self._columns()
         if op is None:
-            return self._readonly("_indices")
-        n = self._size
-        mask = self._ops[:n] == _OP_CODES[op]
-        return self._indices[:n][mask]
+            return _readonly(indices.astype(np.int64, copy=False))
+        return indices[ops == _OP_CODES[op]].astype(np.int64, copy=False)
 
     def time_column(self) -> np.ndarray:
         """Timestamps (ms) in arrival order."""
-        return self._readonly("_times")
+        return _readonly(self._columns()[2])
 
     def stream_codes(self) -> np.ndarray:
         """Interned stream ids in arrival order (see :meth:`stream_names`)."""
-        return self._readonly("_streams")
+        return _readonly(self._columns()[3])
 
     @property
     def stream_names(self) -> list[str]:
         """Stream-id table: ``stream_names[code]`` is the stream string."""
         return list(self._stream_names)
 
-    def _readonly(self, column_name: str) -> np.ndarray:
-        # Size first, column second (see _op_mask for why).
-        n = self._size
-        view = getattr(self, column_name)[:n]
-        view.flags.writeable = False
-        return view
-
     @classmethod
-    def _from_columns(
-        cls,
-        ops: np.ndarray,
-        indices: np.ndarray,
-        times: np.ndarray,
-        streams: np.ndarray,
-        stream_names: list[str],
-    ) -> "IoTrace":
+    def _from_columns(cls, columns: _Columns, stream_names: list[str]) -> "IoTrace":
         trace = cls()
-        count = len(ops)
-        # Exact-size columns with no doubling headroom (selections are
-        # often small or empty; appends grow normally later).  asarray
-        # keeps slice views without copying — safe, because appends to
-        # either trace reallocate before ever writing shared positions.
-        trace._ops = np.asarray(ops, dtype=np.uint8)
-        trace._indices = np.asarray(indices, dtype=np.int64)
-        trace._times = np.asarray(times, dtype=np.float64)
-        trace._streams = np.asarray(streams, dtype=np.int32)
+        # Exact-size columns with no headroom (selections are often
+        # small or empty).  Slice views are kept without copying: merged
+        # columns are never written again, and appends go to new chunks
+        # (a narrow chunk merged onto a wide column comes out wide).
+        ops, _, times, _ = columns
+        trace._base = columns
+        trace._dtypes = [column.dtype.type for column in columns]
         trace._stream_names = list(stream_names)
         trace._stream_ids = {name: code for code, name in enumerate(stream_names)}
-        trace._size = count
-        trace._time_sorted = count < 2 or bool(np.all(np.diff(times) >= 0))
+        trace._size = len(ops)
+        if trace._size:
+            trace._last_time = float(times[-1])
+        trace._time_sorted = trace._size < 2 or bool(np.all(np.diff(times) >= 0))
         return trace
 
-    def _select(self, selection: np.ndarray | slice, n: int | None = None) -> "IoTrace":
-        # ``n`` pins the prefix a boolean mask was built against; without
-        # it, a concurrent append between building the mask and slicing
-        # would make the lengths disagree.
-        if n is None:
-            n = self._size
+    def _select(self, columns: _Columns, selection: np.ndarray | slice) -> "IoTrace":
+        # ``columns`` pins the prefix a boolean mask was built against;
+        # a concurrent append cannot make the lengths disagree.
+        ops, indices, times, streams = columns
         return IoTrace._from_columns(
-            self._ops[:n][selection],
-            self._indices[:n][selection],
-            self._times[:n][selection],
-            self._streams[:n][selection],
+            (ops[selection], indices[selection], times[selection], streams[selection]),
             self._stream_names,
         )
 
     # -- queries used by attackers and analysis --------------------------------
 
+    def _events_where(self, op: Operation) -> list[IoEvent]:
+        columns = self._columns()
+        return [
+            _event_at(columns, self._stream_names, i)
+            for i in np.flatnonzero(columns[0] == _OP_CODES[op])
+        ]
+
     def reads(self) -> list[IoEvent]:
         """All read events in order."""
-        return [self._event_at(i) for i in np.flatnonzero(self._op_mask("read"))]
+        return self._events_where("read")
 
     def writes(self) -> list[IoEvent]:
         """All write events in order."""
-        return [self._event_at(i) for i in np.flatnonzero(self._op_mask("write"))]
+        return self._events_where("write")
 
     def indices(self, op: Operation | None = None) -> list[int]:
         """Block indices touched, optionally filtered by operation."""
@@ -403,19 +503,25 @@ class IoTrace:
         code = self._stream_ids.get(stream)
         if code is None:
             return IoTrace()
-        n = self._size
-        return self._select(self._streams[:n] == code, n)
+        columns = self._columns()
+        return self._select(columns, columns[3] == code)
 
     def between(self, start_ms: float, end_ms: float) -> "IoTrace":
         """Events with timestamps in [start_ms, end_ms)."""
-        n = self._size
-        times = self._times[:n]
+        columns = self._columns()
+        times = columns[2]
         if self._time_sorted:
             lo = int(np.searchsorted(times, start_ms, side="left"))
             hi = int(np.searchsorted(times, end_ms, side="left"))
-            return self._select(slice(lo, max(lo, hi)), n)
-        return self._select((times >= start_ms) & (times < end_ms), n)
+            return self._select(columns, slice(lo, max(lo, hi)))
+        return self._select(columns, (times >= start_ms) & (times < end_ms))
 
     def since(self, mark: int) -> "IoTrace":
         """Events recorded at positions ``mark`` onwards (observer windows)."""
-        return self._select(slice(max(0, mark), self._size))
+        return self._select(self._columns(), slice(max(0, mark), None))
+
+
+def _readonly(column: np.ndarray) -> np.ndarray:
+    view = column[:]
+    view.flags.writeable = False
+    return view

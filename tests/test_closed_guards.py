@@ -60,6 +60,7 @@ STORAGE_CALLS = {
     "write_blocks": lambda storage: storage.write_blocks([0, 1], [bytes(512)] * 2),
     "read_write_blocks": lambda storage: storage.read_write_blocks([0, 1]),
     "peek_block": lambda storage: storage.peek_block(0),
+    "peek_blocks": lambda storage: storage.peek_blocks([0, 1]),
     "raw_bytes": lambda storage: storage.raw_bytes(),
     "fill_random": lambda storage: storage.fill_random(1),
     "flush": lambda storage: storage.flush(),

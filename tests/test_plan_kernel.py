@@ -340,6 +340,9 @@ class _FirstTouchSpy:
     def peek_block(self, index):
         return self._inner.peek_block(index)
 
+    def peek_blocks(self, indices):
+        return self._inner.peek_blocks(indices)
+
 
 class TestPlanJournal:
     def test_journal_records_before_first_device_request(self):

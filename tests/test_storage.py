@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.crypto.cipher import FastFieldCipher
@@ -9,6 +10,7 @@ from repro.errors import (
     BlockOutOfRangeError,
     BlockSizeMismatchError,
 )
+from repro.storage.backend import FILL_CHUNK_BYTES, MemoryBackend, MmapFileBackend
 from repro.storage.bitmap import Bitmap
 from repro.storage.block import BLOCK_IV_SIZE, StoredBlock, data_field_size
 from repro.storage.device import Partition, RawDevice, split_volume
@@ -75,6 +77,24 @@ class TestRawStorage:
         a = make_storage(seed=5)
         b = make_storage(seed=5)
         assert a.raw_bytes() == b.raw_bytes()
+
+    @pytest.mark.parametrize("backend_class", [MemoryBackend, "mmap"])
+    def test_fill_random_in_chunks_matches_one_call_stream(self, backend_class, tmp_path):
+        """Formatting chunk by chunk draws the bytes one full-volume
+        ``rng.integers`` call would, without its volume-sized temporary."""
+        assert FILL_CHUNK_BYTES % 4 == 0
+        block_size, num_blocks = 4096, 300  # 1.17 chunks: a partial last chunk
+        assert (block_size * num_blocks) % FILL_CHUNK_BYTES
+        if backend_class == "mmap":
+            backend = MmapFileBackend.create(tmp_path / "volume.img", block_size, num_blocks)
+        else:
+            backend = backend_class(block_size, num_blocks)
+        backend.fill_random(11)
+        expected = np.random.default_rng(11).integers(
+            0, 256, size=block_size * num_blocks, dtype=np.uint8
+        )
+        assert backend.raw_bytes() == expected.tobytes()
+        backend.close()
 
     def test_out_of_range_rejected(self, storage):
         with pytest.raises(BlockOutOfRangeError):

@@ -10,13 +10,16 @@ as hand-built traces may be).
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage import trace as trace_module
 from repro.storage.trace import OP_READ, OP_WRITE, IoEvent, IoTrace
 
 
@@ -280,3 +283,92 @@ class TestColumnarApi:
         assert [e.index for e in window] == [4, 5]
         assert list(trace.since(0)) == list(trace)
         assert list(trace.since(99)) == []
+
+
+class TestChunkedStorage:
+    """Appends fill fixed-size chunks; queries merge them on first use."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        raw=events_strategy,
+        batch=st.integers(1, 9),
+        query_every=st.integers(1, 5),
+        time_ordered=st.booleans(),
+    )
+    def test_tiny_chunks_match_reference(self, raw, batch, query_every, time_ordered):
+        """Batches straddling chunk boundaries, with queries merging the
+        chunks between appends, leave the same trace as the reference."""
+        if time_ordered:
+            raw = sorted(raw, key=lambda e: e[2])
+        reference = ReferenceTrace()
+        with (
+            mock.patch.object(trace_module, "_INITIAL_CAPACITY", 2),
+            mock.patch.object(trace_module, "_CHUNK_EVENTS", 4),
+        ):
+            columnar = IoTrace()
+            held = []
+            for number, lo in enumerate(range(0, len(raw), batch)):
+                part = raw[lo : lo + batch]
+                columnar.record_many(
+                    [op for op, _, _, _ in part],
+                    [i for _, i, _, _ in part],
+                    [t for _, _, t, _ in part],
+                    [s for _, _, _, s in part],
+                )
+                for op, index, time_ms, stream in part:
+                    reference.record(op, index, time_ms, stream)
+                if number % query_every == 0:
+                    held.append((len(reference), columnar.index_column()))
+            _assert_equivalent(reference, columnar)
+            lo, hi = 100.0, 600.0
+            assert list(columnar.between(lo, hi)) == reference.between(lo, hi).events
+        # Columns handed out earlier stay frozen at their prefix.
+        for size, column in held:
+            assert column.tolist() == reference.indices()[:size]
+
+    def test_recording_a_million_events_stays_near_their_size(self):
+        """2**20 + 100 events once took 21 bytes each (22 MiB) and peaked at
+        46 MiB, because growth doubled the columns and copied them."""
+        count = (1 << 20) + 100
+        batch = 4096
+        indices = np.arange(batch, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            trace = IoTrace()
+            for lo in range(0, count, batch):
+                size = min(batch, count - lo)
+                trace.record_many("write", indices[:size], np.full(size, float(lo)), "dummy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == count
+        assert peak <= 24 * 1024 * 1024, f"peak {peak / 2**20:.1f} MiB"
+        assert trace.index_column()[-1] == (count - 1) % batch
+        assert trace.time_column()[-1] == float(count - count % batch)
+
+    def test_index_column_steps_up_for_values_the_narrow_types_cannot_hold(self):
+        trace = IoTrace()
+        trace.record_many("read", [1, 2], [0.0, 1.0], "a")
+        held = trace.index_column()
+        trace.record_many("write", [40_000, -40_000], [2.0, 3.0], "a")  # past int16
+        trace.record("read", 1 << 31, 4.0, "a")  # past int32
+        trace.record_many("read", [3, -(1 << 31) - 1], [5.0, 6.0], "a")
+        expected = [1, 2, 40_000, -40_000, 1 << 31, 3, -(1 << 31) - 1]
+        assert trace.indices() == expected
+        assert trace.index_column().dtype == held.dtype == np.int64
+        assert held.tolist() == [1, 2]  # handed-out columns stay as they were
+        copy = IoTrace()
+        copy.record("read", 0, 0.0, "a")
+        copy.extend(trace)
+        assert copy.indices() == [0, *expected]
+        assert copy.index_column("read").tolist() == [0, 1, 2, 1 << 31, 3, -(1 << 31) - 1]
+
+    def test_more_than_65536_stream_names(self):
+        trace = IoTrace()
+        names = [f"session-{n}" for n in range(70_000)]
+        for position, name in enumerate(names):
+            trace.record("read", position % 7, float(position), name)
+        trace.record_many("write", [1, 2], [1e6, 1e6 + 1], [names[-1], names[0]])
+        table = trace.stream_names
+        assert [table[c] for c in trace.stream_codes()] == [*names, names[-1], names[0]]
+        assert len(trace.slice_by_stream(names[-1])) == 2
