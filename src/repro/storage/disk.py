@@ -126,8 +126,9 @@ class RawStorage:
     latency:
         Latency model; defaults to a paper-era ATA disk.
     trace:
-        Optional trace to record requests into; a fresh one is created
-        when omitted.
+        Optional trace to record requests into; when omitted, a fresh
+        one is created with an int16 index column (int32 past 32768
+        blocks).
     backend:
         Block backend owning the bytes; defaults to a fresh
         :class:`~repro.storage.backend.MemoryBackend` (the historical,
@@ -143,7 +144,10 @@ class RawStorage:
     ):
         self.geometry = geometry
         self.latency = latency if latency is not None else DiskLatencyModel()
-        self.trace = trace if trace is not None else IoTrace()
+        if trace is None:
+            index_dtype = np.int16 if geometry.num_blocks <= 1 << 15 else np.int32
+            trace = IoTrace(index_dtype=index_dtype)
+        self.trace = trace
         self.counters = IoCounters()
         self.clock_ms = 0.0
         if backend is None:

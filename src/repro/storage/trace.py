@@ -11,7 +11,8 @@ The log is stored **columnar**: parallel numpy arrays for the
 operation code, block index and timestamp, plus an interned stream-id
 table.  Appends fill fixed-size chunks, so growth never copies what
 is already recorded and leaves at most one chunk of slack; the first
-query after an append merges the chunks into exact-size columns.
+query after an append merges the chunks into exact-size columns (and
+holds both until the merge ends).
 Every query the attackers and figures run (`indices`,
 `index_histogram`, `between`, `slice_by_stream`, ...) touches arrays,
 not per-event Python objects, so million-event traces analyse in
@@ -56,50 +57,23 @@ _OP_NAMES = ("read", "write")
 #: Capacity of the first chunk; later chunks match the rows recorded so
 #: far (doubling the total) until they reach ``_CHUNK_EVENTS``.
 _INITIAL_CAPACITY = 1024
-#: Largest chunk, in events (13 bytes each while the columns are narrow).
+#: Largest chunk, in events (13 bytes each in a device trace).
 _CHUNK_EVENTS = 1 << 16
 
-#: Column types: (op code, block index, time, stream id).  The index and
-#: stream columns start at the narrowest type of their ladder and step up
-#: for good the first time a value does not fit: a volume of up to 32768
-#: blocks records int16 indices, a hand-built trace may hold any int64
-#: index, and a trace may intern more than 65536 stream names.
-_INDEX, _STREAM = 1, 3
-_LADDERS = {_INDEX: (np.int16, np.int32, np.int64), _STREAM: (np.uint16, np.int32)}
-_NARROW = (np.uint8, np.int16, np.float64, np.uint16)
-_RANGES = {
-    dtype: (int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
-    for ladder in _LADDERS.values()
-    for dtype in ladder
-}
+#: Stream ids are uint16: a trace holds at most this many stream names.
+MAX_STREAMS = 1 << 16
 
 #: One chunk or the merged base: (ops, indices, times, stream ids).
 _Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-#: Below this many values, Python's min/max/compare beat numpy's call overhead.
-_SMALL = 16
-
-
-def _bounds(column: np.ndarray) -> tuple[int, int]:
-    """Smallest and largest value of a non-empty integer column."""
-    if column.size <= _SMALL:
-        values = column.tolist()
-        return min(values), max(values)
-    return int(column.min()), int(column.max())
-
-
-def _ascending(column: np.ndarray) -> bool:
-    """Whether a time column never runs backwards (NaN counts as backwards)."""
-    if column.size <= _SMALL:
-        values = column.tolist()
-        return all(a <= b for a, b in zip(values, values[1:], strict=False))
-    return bool(np.all(column[1:] >= column[:-1]))
-
-
-def _empty_columns(capacity: int, dtypes: Sequence[type] = _NARROW) -> _Columns:
-    ops, indices, times, streams = (np.empty(capacity, dtype=dtype) for dtype in dtypes)
-    return ops, indices, times, streams
+def _empty_columns(capacity: int, index_dtype: type) -> _Columns:
+    return (
+        np.empty(capacity, dtype=np.uint8),
+        np.empty(capacity, dtype=index_dtype),
+        np.empty(capacity, dtype=np.float64),
+        np.empty(capacity, dtype=np.uint16),
+    )
 
 
 @dataclass(frozen=True)
@@ -155,16 +129,26 @@ class _EventsView(Sequence):
 
 
 class IoTrace:
-    """An append-only columnar log of I/O events, with vectorized queries."""
+    """An append-only columnar log of I/O events, with vectorized queries.
 
-    def __init__(self, events: Iterable[IoEvent] | None = None):
+    ``index_dtype`` is the block-index column's integer type.  The
+    default int64 holds any index a hand-built trace may use; a device
+    passes the narrowest type that holds its block count (int16 up to
+    32768 blocks).  Recording an index outside the type's range, or a
+    stream name past the ``MAX_STREAMS``-th, raises ``ValueError``
+    and records nothing.
+    """
+
+    def __init__(self, events: Iterable[IoEvent] | None = None, *, index_dtype: type = np.int64):
+        info = np.iinfo(index_dtype)
+        self._index_dtype = index_dtype
+        self._index_range = (int(info.min), int(info.max))
         # Rows [0, len(base)) sit merged in ``_base``, which is never
         # written again; later rows fill ``_chunks`` in order, every
         # chunk full except the last, which starts at row ``_tail_start``.
-        self._base = _empty_columns(0)
+        self._base = _empty_columns(0, index_dtype)
         self._chunks: list[_Columns] = []
         self._tail_start = 0
-        self._dtypes = list(_NARROW)  # of new chunks
         self._size = 0
         self._last_time = 0.0
         self._stream_ids: dict[str, int] = {}
@@ -181,32 +165,24 @@ class IoTrace:
     # -- appending ---------------------------------------------------------------
 
     def _intern(self, stream: str) -> int:
-        """The stream's id, assigned on first sight (lock held, no chunk reserved)."""
+        """The stream's id, assigned on first sight (lock held)."""
         code = self._stream_ids.get(stream)
         if code is None:
             code = len(self._stream_names)
-            self._fit(_STREAM, code, code)
+            if code >= MAX_STREAMS:
+                raise ValueError(f"a trace holds at most {MAX_STREAMS} stream names")
             self._stream_ids[stream] = code
             self._stream_names.append(stream)
         return code
 
-    def _fit(self, column: int, low: int, high: int) -> None:
-        """Step ``column`` up its ladder until its type holds ``low`` and ``high``.
-
-        Called with the lock held and no chunk reserved; merging first
-        means every later chunk is allocated with the wider type.
-        """
-        bottom, top = _RANGES[self._dtypes[column]]
-        if bottom <= low and high <= top:
-            return
-        ladder = _LADDERS[column]
-        wide = next(
-            (t for t in ladder if _RANGES[t][0] <= low and high <= _RANGES[t][1]), ladder[-1]
-        )
-        base = list(self._merge())
-        base[column] = base[column].astype(wide)
-        self._base = (base[0], base[1], base[2], base[3])
-        self._dtypes[column] = wide
+    def _check_indices(self, low: int, high: int) -> None:
+        """Raise unless the index column's type holds ``low`` and ``high``."""
+        bottom, top = self._index_range
+        if low < bottom or high > top:
+            raise ValueError(
+                f"block index outside [{bottom}, {top}], the range of this trace's "
+                f"{np.dtype(self._index_dtype).name} index column"
+            )
 
     def _merge(self) -> _Columns:
         """Fold the chunks into exact-size merged columns (lock held)."""
@@ -232,7 +208,7 @@ class IoTrace:
             if offset < len(chunk[0]):
                 return chunk, offset, len(chunk[0]) - offset
         capacity = min(_CHUNK_EVENTS, max(_INITIAL_CAPACITY, row))
-        chunk = _empty_columns(capacity, self._dtypes)
+        chunk = _empty_columns(capacity, self._index_dtype)
         self._chunks.append(chunk)
         self._tail_start = row
         return chunk, 0, capacity
@@ -267,9 +243,9 @@ class IoTrace:
 
     def record(self, op: Operation, index: int, time_ms: float, stream: str = "default") -> None:
         """Append one event (O(1), thread-safe)."""
+        self._check_indices(index, index)
         with self._append_lock:
             code = self._intern(stream)
-            self._fit(_INDEX, index, index)
             n = self._size
             (ops, indices, times, streams), offset, _ = self._reserve(n)
             ops[offset] = _OP_CODES[op]
@@ -318,17 +294,16 @@ class IoTrace:
             raise ValueError(f"{count} indices but {len(stream)} streams")
         if count == 0:
             return
-        if not isinstance(stream, str) and len(set(stream)) == 1:
-            stream = stream[0]  # one shared name interns once
+        self._check_indices(int(index_column.min()), int(index_column.max()))
+        ascending = bool(np.all(time_column[1:] >= time_column[:-1]))
         with self._append_lock:
             if isinstance(stream, str):
                 stream_column: np.ndarray | int = self._intern(stream)
             else:
                 stream_column = np.fromiter(
-                    (self._intern(name) for name in stream), dtype=np.int32, count=count
+                    (self._intern(name) for name in stream), dtype=np.uint16, count=count
                 )
-            self._fit(_INDEX, *_bounds(index_column))
-            self._note_times(time_column[0], time_column[-1], _ascending(time_column))
+            self._note_times(time_column[0], time_column[-1], ascending)
             self._append(count, (op_column, index_column, time_column, stream_column))
 
     def extend(self, other: "IoTrace" | Iterable[IoEvent]) -> None:
@@ -338,11 +313,11 @@ class IoTrace:
             if ops.size == 0:
                 return
             names = list(other._stream_names)
+            self._check_indices(int(indices.min()), int(indices.max()))
             with self._append_lock:
                 remap = np.fromiter(
-                    (self._intern(name) for name in names), dtype=np.int32, count=len(names)
+                    (self._intern(name) for name in names), dtype=np.uint16, count=len(names)
                 )
-                self._fit(_INDEX, *_bounds(indices))
                 self._note_times(times[0], times[-1], other._time_sorted)
                 self._append(ops.size, (ops, indices, times, remap[streams]))
             return
@@ -357,7 +332,7 @@ class IoTrace:
         instead of silently changing under the caller.
         """
         with self._append_lock:
-            self._base = _empty_columns(0, self._dtypes)
+            self._base = _empty_columns(0, self._index_dtype)
             self._chunks = []
             self._size = 0
             self._time_sorted = True
@@ -410,8 +385,8 @@ class IoTrace:
     def index_column(self, op: Operation | None = None) -> np.ndarray:
         """Block indices (int64) in arrival order, optionally filtered by operation.
 
-        Unfiltered, the column is read-only: a view, or a widened copy
-        while the trace stores narrower indices.
+        Unfiltered, the column is read-only: a view of an int64 trace's
+        column, or an int64 copy of a narrower one.
         """
         ops, indices, _, _ = self._columns()
         if op is None:
@@ -433,14 +408,12 @@ class IoTrace:
 
     @classmethod
     def _from_columns(cls, columns: _Columns, stream_names: list[str]) -> "IoTrace":
-        trace = cls()
+        ops, indices, times, _ = columns
+        trace = cls(index_dtype=indices.dtype.type)
         # Exact-size columns with no headroom (selections are often
         # small or empty).  Slice views are kept without copying: merged
-        # columns are never written again, and appends go to new chunks
-        # (a narrow chunk merged onto a wide column comes out wide).
-        ops, _, times, _ = columns
+        # columns are never written again, and appends go to new chunks.
         trace._base = columns
-        trace._dtypes = [column.dtype.type for column in columns]
         trace._stream_names = list(stream_names)
         trace._stream_ids = {name: code for code, name in enumerate(stream_names)}
         trace._size = len(ops)

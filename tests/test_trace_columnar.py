@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage import trace as trace_module
+from repro.storage.disk import RawStorage, StorageGeometry
 from repro.storage.trace import OP_READ, OP_WRITE, IoEvent, IoTrace
 
 
@@ -326,49 +327,64 @@ class TestChunkedStorage:
         for size, column in held:
             assert column.tolist() == reference.indices()[:size]
 
-    def test_recording_a_million_events_stays_near_their_size(self):
+    @pytest.mark.parametrize(
+        ("index_dtype", "query_mib"),
+        [(np.int16, 32), (np.int64, 44)],  # a device's trace; a hand-built one
+    )
+    def test_recording_a_million_events_stays_near_their_size(self, index_dtype, query_mib):
         """2**20 + 100 events once took 21 bytes each (22 MiB) and peaked at
-        46 MiB, because growth doubled the columns and copied them."""
+        46 MiB while recording, because growth doubled the columns and
+        copied them.  Recording now peaks near the events' own size (13
+        bytes each with int16 indices, 19 with int64).  The first query
+        afterwards merges the chunks while they are still alive, so it
+        briefly holds the trace twice (``query_mib``)."""
         count = (1 << 20) + 100
         batch = 4096
         indices = np.arange(batch, dtype=np.int64)
         tracemalloc.start()
         try:
-            trace = IoTrace()
+            trace = IoTrace(index_dtype=index_dtype)
             for lo in range(0, count, batch):
                 size = min(batch, count - lo)
                 trace.record_many("write", indices[:size], np.full(size, float(lo)), "dummy")
-            _, peak = tracemalloc.get_traced_memory()
+            _, recording_peak = tracemalloc.get_traced_memory()
+            column = trace.index_column()
+            window = trace.since(count - 10)
+            _, query_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(trace) == count
-        assert peak <= 24 * 1024 * 1024, f"peak {peak / 2**20:.1f} MiB"
-        assert trace.index_column()[-1] == (count - 1) % batch
+        assert recording_peak <= 24 * 1024 * 1024, f"peak {recording_peak / 2**20:.1f} MiB"
+        assert query_peak <= query_mib * 1024 * 1024, f"peak {query_peak / 2**20:.1f} MiB"
+        assert column[-1] == (count - 1) % batch
         assert trace.time_column()[-1] == float(count - count % batch)
+        assert len(window) == 10
 
-    def test_index_column_steps_up_for_values_the_narrow_types_cannot_hold(self):
-        trace = IoTrace()
-        trace.record_many("read", [1, 2], [0.0, 1.0], "a")
-        held = trace.index_column()
-        trace.record_many("write", [40_000, -40_000], [2.0, 3.0], "a")  # past int16
-        trace.record("read", 1 << 31, 4.0, "a")  # past int32
-        trace.record_many("read", [3, -(1 << 31) - 1], [5.0, 6.0], "a")
-        expected = [1, 2, 40_000, -40_000, 1 << 31, 3, -(1 << 31) - 1]
-        assert trace.indices() == expected
-        assert trace.index_column().dtype == held.dtype == np.int64
-        assert held.tolist() == [1, 2]  # handed-out columns stay as they were
-        copy = IoTrace()
-        copy.record("read", 0, 0.0, "a")
-        copy.extend(trace)
-        assert copy.indices() == [0, *expected]
-        assert copy.index_column("read").tolist() == [0, 1, 2, 1 << 31, 3, -(1 << 31) - 1]
+    def test_index_past_the_column_type_is_rejected_whole(self):
+        trace = IoTrace(index_dtype=np.int16)
+        trace.record_many("read", [0, 32767], [0.0, 1.0], "a")
+        with pytest.raises(ValueError, match="int16"):
+            trace.record("read", 32768, 2.0, "a")
+        with pytest.raises(ValueError, match="int16"):
+            trace.record_many("write", [5, -32769], [2.0, 3.0], "a")
+        with pytest.raises(ValueError, match="int16"):
+            trace.extend(IoTrace([IoEvent("read", 1 << 20, 4.0, "a")]))
+        assert trace.indices() == [0, 32767]
+        assert trace.index_column().dtype == np.int64
 
-    def test_more_than_65536_stream_names(self):
+    def test_device_trace_index_type_fits_the_block_count(self):
+        small = RawStorage(StorageGeometry(block_size=64, num_blocks=1 << 15))
+        large = RawStorage(StorageGeometry(block_size=64, num_blocks=(1 << 15) + 1))
+        small.read_block((1 << 15) - 1)
+        large.read_block(1 << 15)
+        assert small.trace.indices() == [(1 << 15) - 1]
+        assert large.trace.indices() == [1 << 15]
+
+    def test_stream_names_past_the_limit_are_rejected(self):
         trace = IoTrace()
-        names = [f"session-{n}" for n in range(70_000)]
-        for position, name in enumerate(names):
-            trace.record("read", position % 7, float(position), name)
-        trace.record_many("write", [1, 2], [1e6, 1e6 + 1], [names[-1], names[0]])
-        table = trace.stream_names
-        assert [table[c] for c in trace.stream_codes()] == [*names, names[-1], names[0]]
-        assert len(trace.slice_by_stream(names[-1])) == 2
+        with mock.patch.object(trace_module, "MAX_STREAMS", 3):
+            trace.record_many("read", [1, 2, 3], [0.0, 1.0, 2.0], ["a", "b", "c"])
+            with pytest.raises(ValueError, match="at most 3 stream names"):
+                trace.record("write", 4, 3.0, "d")
+            trace.record("write", 4, 3.0, "a")
+        assert [e.stream for e in trace] == ["a", "b", "c", "a"]
